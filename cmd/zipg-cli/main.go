@@ -22,9 +22,9 @@
 //	save <path> / load <path>       persist / restore (local mode)
 //	trace [id]                      fetch + pretty-print a distributed
 //	                                span tree from -admin (no id: list)
-//	codecs                          per-shard codec/α report: local
-//	                                store directly, or /debug/codecs
-//	                                from -admin
+//	regions                         per-shard α and region sizes:
+//	                                local store directly, or
+//	                                /debug/regions from -admin
 //	quit
 package main
 
@@ -108,8 +108,8 @@ func main() {
 				if err := traceCmd(*admin, fields[1:]); err != nil {
 					fmt.Println("error:", err)
 				}
-			case fields[0] == "codecs":
-				if err := codecsCmd(local, *admin); err != nil {
+			case fields[0] == "regions":
+				if err := regionsCmd(local, *admin); err != nil {
 					fmt.Println("error:", err)
 				}
 			case fields[0] == "window" || fields[0] == "wcount" || fields[0] == "path":
@@ -138,30 +138,30 @@ func main() {
 	}
 }
 
-// codecsCmd prints the per-shard codec report: which codec each region
-// (Ψ, SA/ISA samples, offset columns) chose, its size and decode speed,
-// and each shard's sampling rate α and read heat. In local mode it
-// reads the store directly; otherwise it fetches /debug/codecs from
-// the -admin endpoint.
-func codecsCmd(local *zipg.Graph, admin string) error {
+// regionsCmd prints the per-shard region report: each shard's sampling
+// rate α and the element count and size of each packed region (Ψ,
+// SA/ISA samples, offset columns). In local mode it reads the store
+// directly; otherwise it fetches /debug/regions from the -admin
+// endpoint.
+func regionsCmd(local *zipg.Graph, admin string) error {
 	if local != nil {
-		fmt.Print(store.FormatCodecReport(local.Store().CodecReport()))
+		fmt.Print(store.FormatRegionReport(local.Store().RegionReport()))
 		return nil
 	}
 	if admin == "" {
-		return fmt.Errorf("codecs requires local mode or -admin host:port (a zipg-server admin endpoint)")
+		return fmt.Errorf("regions requires local mode or -admin host:port (a zipg-server admin endpoint)")
 	}
 	if !strings.Contains(admin, "://") {
 		admin = "http://" + admin
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(admin + "/debug/codecs")
+	resp, err := client.Get(admin + "/debug/regions")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s from %s/debug/codecs", resp.Status, admin)
+		return fmt.Errorf("%s from %s/debug/regions", resp.Status, admin)
 	}
 	_, err = io.Copy(os.Stdout, resp.Body)
 	return err

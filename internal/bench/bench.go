@@ -272,9 +272,6 @@ var Experiments = map[string]func(Options) (*Result, error){
 	// Vectorized batch reads vs their scalar loops across batch sizes
 	// (no paper figure; the batch kernel contract in DESIGN.md).
 	"batch-bench": BatchBench,
-	// Pluggable integer codecs × α sweep plus the α auto-tuning demo
-	// (no paper figure; the codec layer in DESIGN.md).
-	"codec-bench": CodecBench,
 	// Group-committed write path + online compaction under concurrent
 	// writers (no paper figure; §3.5's write log and §4.1's GC, with
 	// the stop-the-world pauses engineered out — see DESIGN.md).

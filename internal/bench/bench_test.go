@@ -270,8 +270,8 @@ func TestBuildSystemUnknown(t *testing.T) {
 
 func TestExperimentNames(t *testing.T) {
 	names := ExperimentNames()
-	if len(names) != 24 {
-		t.Fatalf("want 24 experiments, got %d: %v", len(names), names)
+	if len(names) != 23 {
+		t.Fatalf("want 23 experiments, got %d: %v", len(names), names)
 	}
 }
 

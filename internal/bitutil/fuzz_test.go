@@ -8,9 +8,8 @@ import (
 
 // fuzzVals turns fuzzer bytes into a value sequence: each byte pair
 // selects a width class and payload, so the fuzzer can express tiny
-// deltas, wide values, and the simple8b 60-bit boundary with equal
-// ease (raw 8-byte chunks would almost never hit the interesting
-// narrow-width selector paths).
+// deltas and wide values with equal ease (raw 8-byte chunks would
+// almost never hit the narrow per-block widths).
 func fuzzVals(data []byte) []uint64 {
 	var out []uint64
 	for i := 0; i+1 < len(data); i += 2 {
@@ -20,81 +19,51 @@ func fuzzVals(data []byte) []uint64 {
 	return out
 }
 
-// FuzzCodecRoundTrip feeds adversarial value shapes through every
-// codec, raw and monotone, and cross-checks all Seq accessors and the
-// tagged container against the input. Any divergence — wrong value,
-// wrong search result, container that doesn't round-trip — fails.
+// FuzzCodecRoundTrip feeds adversarial value shapes through the packing,
+// monotone through MonotoneVector and raw through PackedVector, and
+// cross-checks every accessor and the serial round trip against the
+// input. Any divergence — wrong value, wrong search result, encoding
+// that doesn't round-trip — fails.
 func FuzzCodecRoundTrip(f *testing.F) {
-	// Seeds: empty, single value, a tiny ramp, a block boundary, a
-	// width alternation, and the simple8b overflow edge. The checked-in
-	// corpus under testdata/fuzz mirrors these shapes.
+	// Seeds: empty, single value, a tiny ramp, wide values, a width
+	// alternation, and zeros across blocks. The checked-in corpus under
+	// testdata/fuzz mirrors these shapes.
 	f.Add([]byte{})
 	f.Add([]byte{0, 1})
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 1, 1, 2, 1})
-	f.Add([]byte{59, 255, 0, 0, 59, 255})         // near the 60-bit payload limit
-	f.Add([]byte{0, 1, 30, 1, 0, 1, 30, 1, 0, 1}) // alternating widths
-	f.Add(make([]byte, 3*SeqBlockSize))           // zeros across blocks
+	f.Add([]byte{59, 255, 0, 0, 59, 255})
+	f.Add([]byte{0, 1, 30, 1, 0, 1, 30, 1, 0, 1})
+	f.Add(make([]byte, 3*MonotoneBlockSize))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		raw := fuzzVals(data)
 		mono := prefixSum(raw)
-		for _, c := range AllCodecs() {
-			for _, tc := range []struct {
-				vals []uint64
-				mono bool
-			}{{raw, false}, {mono, true}} {
-				var width uint
-				if !tc.mono {
-					width = WidthFor(maxVal(tc.vals))
-				}
-				s := c.Encode(tc.vals, tc.mono, width)
-				if s == nil {
-					continue // unrepresentable; policy layer falls back
-				}
-				if s.Len() != len(tc.vals) {
-					t.Fatalf("%s: Len %d != %d", c.Name(), s.Len(), len(tc.vals))
-				}
-				got := s.DecodeAll(nil)
-				if len(tc.vals) > 0 && !reflect.DeepEqual(got, tc.vals) {
-					t.Fatalf("%s mono=%v: DecodeAll mismatch", c.Name(), tc.mono)
-				}
-				for i, want := range tc.vals {
-					if g := s.Get(i); g != want {
-						t.Fatalf("%s mono=%v: Get(%d)=%d want %d", c.Name(), tc.mono, i, g, want)
-					}
-				}
-				if tc.mono && len(tc.vals) > 0 {
-					// SearchGE against a linear reference at a few probes.
-					probes := []uint64{0, tc.vals[0], tc.vals[len(tc.vals)-1], tc.vals[len(tc.vals)/2] + 1}
-					for _, target := range probes {
-						want := len(tc.vals)
-						for i, v := range tc.vals {
-							if v >= target {
-								want = i
-								break
-							}
-						}
-						if g := s.SearchGE(0, s.Len(), target); g != want {
-							t.Fatalf("%s: SearchGE(%d)=%d want %d", c.Name(), target, g, want)
-						}
-					}
-				}
-				buf := AppendSeq(nil, s)
-				back, n, err := DecodeSeq(buf)
-				if err != nil || n != len(buf) {
-					t.Fatalf("%s: DecodeSeq err=%v n=%d/%d", c.Name(), err, n, len(buf))
-				}
-				if back.CodecID() != c.ID() || back.Len() != s.Len() {
-					t.Fatalf("%s: container round-trip changed identity", c.Name())
-				}
-				if len(tc.vals) > 0 && !reflect.DeepEqual(back.DecodeAll(nil), tc.vals) {
-					t.Fatalf("%s: container round-trip changed values", c.Name())
-				}
+		mv := NewMonotoneVector(mono)
+		checkMonotone(t, mv, mono)
+		back, n, err := DecodeMonotoneVector(mv.AppendBinary(nil))
+		if err != nil {
+			t.Fatalf("DecodeMonotoneVector: %v", err)
+		}
+		if n != len(mv.AppendBinary(nil)) {
+			t.Fatalf("DecodeMonotoneVector consumed %d bytes", n)
+		}
+		checkMonotone(t, back, mono)
+
+		pv, _, err := DecodePackedVector(packRaw(raw).AppendBinary(nil))
+		if err != nil {
+			t.Fatalf("DecodePackedVector: %v", err)
+		}
+		if pv.Len() != len(raw) {
+			t.Fatalf("PackedVector Len %d != %d", pv.Len(), len(raw))
+		}
+		for i, want := range raw {
+			if g := pv.Get(i); g != want {
+				t.Fatalf("PackedVector Get(%d)=%d want %d", i, g, want)
 			}
 		}
 	})
 }
 
-// FuzzMonotoneDeltaPatterns drives the monotone encoders with explicit
+// FuzzMonotoneDeltaPatterns drives the monotone encoder with explicit
 // delta streams (varint-decoded from the input), hunting for carry and
 // anchor bugs in the per-block delta layout.
 func FuzzMonotoneDeltaPatterns(f *testing.F) {
@@ -117,23 +86,34 @@ func FuzzMonotoneDeltaPatterns(f *testing.F) {
 			sum += d
 			vals = append(vals, sum)
 		}
-		for _, c := range AllCodecs() {
-			s := c.Encode(vals, true, 0)
-			if s == nil {
-				continue
-			}
-			if len(vals) > 0 && !reflect.DeepEqual(s.DecodeAll(nil), vals) {
-				t.Fatalf("%s: delta round-trip mismatch", c.Name())
-			}
-			var blk [SeqBlockSize]uint64
-			for b := 0; b*SeqBlockSize < len(vals); b++ {
-				cnt := s.DecodeBlockInto(b, &blk)
-				for j := 0; j < cnt; j++ {
-					if blk[j] != vals[b*SeqBlockSize+j] {
-						t.Fatalf("%s: block %d[%d] mismatch", c.Name(), b, j)
-					}
+		mv := NewMonotoneVector(vals)
+		if len(vals) > 0 && !reflect.DeepEqual(mv.DecodeAll(nil), vals) {
+			t.Fatal("delta round-trip mismatch")
+		}
+		var blk [MonotoneBlockSize]uint64
+		for b := 0; b*MonotoneBlockSize < len(vals); b++ {
+			cnt := mv.DecodeBlockInto(b, &blk)
+			for j := 0; j < cnt; j++ {
+				if blk[j] != vals[b*MonotoneBlockSize+j] {
+					t.Fatalf("block %d[%d] mismatch", b, j)
 				}
 			}
 		}
+	})
+}
+
+// FuzzDecodeVectors feeds arbitrary bytes to both vector decoders —
+// the bytes snapshot loading hands them. Each must return an error or
+// a vector whose every element reads in bounds; a panic fails.
+func FuzzDecodeVectors(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(PackSlice([]uint64{1, 2, 3, 1 << 40}).AppendBinary(nil))
+	f.Add(NewMonotoneVector([]uint64{0, 1, 2, 3, 100, 1 << 20, 1<<20 + 1}).AppendBinary(nil))
+	f.Add(NewMonotoneVector(prefixSum(fuzzVals(make([]byte, 80)))).AppendBinary(nil))
+	f.Add(append([]byte{64}, binary.LittleEndian.AppendUint64(nil, 1<<58)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mv, _, _ := DecodeMonotoneVector(data)
+		pv, _, _ := DecodePackedVector(data)
+		checkDecodedInBounds(mv, pv)
 	})
 }

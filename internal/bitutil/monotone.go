@@ -296,61 +296,122 @@ func (mv *MonotoneVector) AppendBinary(buf []byte) []byte {
 }
 
 // DecodeMonotoneVector reads a vector serialized with AppendBinary and
-// returns it with the number of bytes consumed.
+// returns it with the number of bytes consumed. The bytes may come from
+// outside the process, so every count is bounded by the buffer before
+// anything is allocated, n is cross-checked against the anchor, width
+// and offset tables, and every block's payload must lie inside the bit
+// stream: a vector that decodes without error answers Get in bounds.
 func DecodeMonotoneVector(buf []byte) (*MonotoneVector, int, error) {
 	if len(buf) < 8 {
 		return nil, 0, fmt.Errorf("bitutil: truncated monotone vector")
 	}
-	mv := &MonotoneVector{n: int(binary.LittleEndian.Uint64(buf))}
+	n64 := binary.LittleEndian.Uint64(buf)
 	pos := 8
-	var err error
-	var k int
-	if mv.anchors, k, err = DecodePackedVector(buf[pos:]); err != nil {
+	anchors, k, err := DecodePackedVector(buf[pos:])
+	if err != nil {
 		return nil, 0, err
 	}
 	pos += k
+	nblocks := anchors.Len()
+	// ceil(n/monotoneBlock) must equal the anchor count; comparing in
+	// uint64 before the division keeps a huge n from wrapping.
+	if n64 > uint64(nblocks)*monotoneBlock || (n64+monotoneBlock-1)/monotoneBlock != uint64(nblocks) {
+		return nil, 0, fmt.Errorf("bitutil: monotone vector length %d disagrees with %d anchors", n64, nblocks)
+	}
 	if len(buf) < pos+8 {
 		return nil, 0, fmt.Errorf("bitutil: truncated monotone widths")
 	}
-	nw := int(binary.LittleEndian.Uint64(buf[pos:]))
+	nw := binary.LittleEndian.Uint64(buf[pos:])
 	pos += 8
-	if len(buf) < pos+nw {
+	if nw != uint64(nblocks) {
+		return nil, 0, fmt.Errorf("bitutil: monotone vector has %d widths for %d blocks", nw, nblocks)
+	}
+	if len(buf)-pos < nblocks {
 		return nil, 0, fmt.Errorf("bitutil: truncated monotone widths payload")
 	}
-	mv.widths = append([]byte(nil), buf[pos:pos+nw]...)
-	pos += nw
-	if mv.bitOff, k, err = DecodePackedVector(buf[pos:]); err != nil {
+	widths := append([]byte(nil), buf[pos:pos+nblocks]...)
+	pos += nblocks
+	bitOff, k, err := DecodePackedVector(buf[pos:])
+	if err != nil {
 		return nil, 0, err
 	}
 	pos += k
+	if bitOff.Len() != nblocks {
+		return nil, 0, fmt.Errorf("bitutil: monotone vector has %d bit offsets for %d blocks", bitOff.Len(), nblocks)
+	}
 	if len(buf) < pos+8 {
 		return nil, 0, fmt.Errorf("bitutil: truncated monotone bits header")
 	}
-	nb := int(binary.LittleEndian.Uint64(buf[pos:]))
+	nb := binary.LittleEndian.Uint64(buf[pos:])
 	pos += 8
-	if len(buf) < pos+nb*8 {
+	if nb > uint64(len(buf)-pos)/8 {
 		return nil, 0, fmt.Errorf("bitutil: truncated monotone bits payload")
 	}
-	mv.bits = make([]uint64, nb)
+	totalBits := nb * 64
+	n := int(n64)
+	for b, w := range widths {
+		if w > 64 {
+			return nil, 0, fmt.Errorf("bitutil: monotone block %d width %d out of range", b, w)
+		}
+		cnt := n - b*monotoneBlock
+		if cnt > monotoneBlock {
+			cnt = monotoneBlock
+		}
+		need := blockPayloadBits(uint(w), cnt)
+		if off := bitOff.Get(b); need > totalBits || off > totalBits-need {
+			return nil, 0, fmt.Errorf("bitutil: monotone block %d payload past the bit stream", b)
+		}
+	}
+	mv := &MonotoneVector{n: n, anchors: anchors, widths: widths, bitOff: bitOff, bits: make([]uint64, nb)}
 	for i := range mv.bits {
 		mv.bits[i] = binary.LittleEndian.Uint64(buf[pos+i*8:])
 	}
-	pos += nb * 8
+	pos += int(nb) * 8
 	return mv, pos, nil
 }
 
-// Cursor returns a streaming cursor positioned at index 0. (Historically
-// this returned a MonotoneVector-specific cursor; the codec layer
-// generalized it to SeqCursor, which streams any Seq.)
-func (mv *MonotoneVector) Cursor() SeqCursor {
-	return NewSeqCursor(mv)
+// MonotoneCursor streams a MonotoneVector: each block is decoded once
+// into a small buffer and then read by index, so a sequential pass
+// costs one block decode per monotoneBlock elements instead of one
+// delta re-sum per element. A cursor is a value type — keep it on the
+// stack. Not safe for concurrent use (the underlying vector is).
+type MonotoneCursor struct {
+	mv    *MonotoneVector
+	block int // decoded block index, -1 = none
+	next  int // absolute index returned by the next Next call
+	vals  [monotoneBlock]uint64
 }
 
-// CodecID identifies the legacy hand-rolled packing.
-func (mv *MonotoneVector) CodecID() CodecID { return CodecLegacy }
+// Cursor returns a streaming cursor positioned at index 0.
+func (mv *MonotoneVector) Cursor() MonotoneCursor {
+	return MonotoneCursor{mv: mv, block: -1}
+}
 
-// Monotone reports the monotone (delta) encoding layout.
-func (mv *MonotoneVector) Monotone() bool { return true }
+// Seek positions the cursor so the next Next call returns element i.
+// Seeking within the already-decoded block keeps the buffer.
+func (c *MonotoneCursor) Seek(i int) { c.next = i }
+
+// Pos returns the absolute index the next Next call will return.
+func (c *MonotoneCursor) Pos() int { return c.next }
+
+// Next returns the element at the cursor and advances by one. The caller
+// must not read past Len()-1.
+func (c *MonotoneCursor) Next() uint64 {
+	v := c.At(c.next)
+	c.next++
+	return v
+}
+
+// At returns element i, decoding its block only if it is not the one
+// already buffered. The cursor position is unchanged.
+func (c *MonotoneCursor) At(i int) uint64 {
+	b := i / monotoneBlock
+	if b != c.block {
+		c.mv.decodeBlock(b, &c.vals)
+		c.block = b
+	}
+	return c.vals[i-b*monotoneBlock]
+}
 
 // DecodeAll appends every element to dst and returns it.
 func (mv *MonotoneVector) DecodeAll(dst []uint64) []uint64 {

@@ -105,49 +105,6 @@ func (pv *PackedVector) Get(i int) uint64 {
 	return v & mask
 }
 
-// CodecID identifies the legacy hand-rolled packing.
-func (pv *PackedVector) CodecID() CodecID { return CodecLegacy }
-
-// Monotone reports the raw (non-delta) encoding layout. The data itself
-// may still be non-decreasing — SearchGE is valid only when it is.
-func (pv *PackedVector) Monotone() bool { return false }
-
-// DecodeAll appends every element to dst and returns it.
-func (pv *PackedVector) DecodeAll(dst []uint64) []uint64 {
-	for i := 0; i < pv.n; i++ {
-		dst = append(dst, pv.Get(i))
-	}
-	return dst
-}
-
-// DecodeBlockInto expands block b into dst and returns the element count
-// (short for the final block).
-func (pv *PackedVector) DecodeBlockInto(b int, dst *[SeqBlockSize]uint64) int {
-	start := b * SeqBlockSize
-	cnt := pv.n - start
-	if cnt > SeqBlockSize {
-		cnt = SeqBlockSize
-	}
-	for k := 0; k < cnt; k++ {
-		dst[k] = pv.Get(start + k)
-	}
-	return cnt
-}
-
-// SearchGE returns the smallest index i in [lo, hi) with Get(i) >= target,
-// or hi if none. Valid only when the stored data is non-decreasing.
-func (pv *PackedVector) SearchGE(lo, hi int, target uint64) int {
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pv.Get(mid) >= target {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
 // AppendBinary serializes the vector into buf and returns the extended
 // slice. Format: width (1 byte), n (8 bytes LE), words.
 func (pv *PackedVector) AppendBinary(buf []byte) []byte {
@@ -160,7 +117,10 @@ func (pv *PackedVector) AppendBinary(buf []byte) []byte {
 }
 
 // DecodePackedVector reads a vector serialized with AppendBinary and
-// returns it together with the number of bytes consumed.
+// returns it together with the number of bytes consumed. n is bounded by
+// the payload the buffer actually holds before n·width is formed, so a
+// corrupt count can neither wrap nor load a vector whose Get reads past
+// its words.
 func DecodePackedVector(buf []byte) (*PackedVector, int, error) {
 	if len(buf) < 9 {
 		return nil, 0, fmt.Errorf("bitutil: truncated packed vector header")
@@ -169,9 +129,12 @@ func DecodePackedVector(buf []byte) (*PackedVector, int, error) {
 	if width == 0 || width > 64 {
 		return nil, 0, fmt.Errorf("bitutil: invalid packed vector width %d", width)
 	}
-	n := int(binary.LittleEndian.Uint64(buf[1:9]))
-	nbits := uint64(n) * uint64(width)
-	nwords := int((nbits + 63) / 64)
+	n64 := binary.LittleEndian.Uint64(buf[1:9])
+	if n64 > uint64(len(buf)-9)*8/uint64(width) {
+		return nil, 0, fmt.Errorf("bitutil: truncated packed vector payload")
+	}
+	n := int(n64)
+	nwords := int((n64*uint64(width) + 63) / 64)
 	need := 9 + nwords*8
 	if len(buf) < need {
 		return nil, 0, fmt.Errorf("bitutil: truncated packed vector payload")

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"zipg/internal/bitutil"
 	"zipg/internal/graphapi"
 	"zipg/internal/layout"
 	"zipg/internal/memsim"
@@ -150,11 +149,6 @@ type ServerConfig struct {
 	Medium *memsim.Medium
 	// LogStoreThreshold triggers local LogStore rollover.
 	LogStoreThreshold int64
-	// Codec selects the store's region-codec policy (zero = auto).
-	Codec bitutil.CodecPolicy
-	// AutoTuneAlpha lets local compactions retune per-shard α from
-	// accumulated read counts.
-	AutoTuneAlpha bool
 	// DisableGroupCommit makes every append take the store lock
 	// individually instead of batching through the group committer.
 	DisableGroupCommit bool
@@ -194,8 +188,6 @@ func NewServer(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema 
 		SamplingRate:          cfg.SamplingRate,
 		Medium:                cfg.Medium,
 		LogStoreThreshold:     cfg.LogStoreThreshold,
-		Codec:                 cfg.Codec,
-		AutoTuneAlpha:         cfg.AutoTuneAlpha,
 		DisableGroupCommit:    cfg.DisableGroupCommit,
 		BackgroundCompaction:  cfg.BackgroundCompaction,
 		CompactInterval:       cfg.CompactInterval,
@@ -209,9 +201,10 @@ func NewServer(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema 
 	s.registerHandlers()
 	s.registerMultiLevel()
 	s.registerTemporal()
-	// The admin mux serves this store's codec/α state at /debug/codecs.
-	telemetry.RegisterAdminReport("codecs", func() string {
-		return store.FormatCodecReport(st.CodecReport())
+	// The admin mux serves this store's per-fragment α and region sizes
+	// at /debug/regions.
+	telemetry.RegisterAdminReport("regions", func() string {
+		return store.FormatRegionReport(st.RegionReport())
 	})
 	return s, nil
 }

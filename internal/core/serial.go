@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 
-	"zipg/internal/bitutil"
 	"zipg/internal/layout"
 	"zipg/internal/memsim"
 	"zipg/internal/succinct"
@@ -30,17 +29,6 @@ type shardWire struct {
 	// fields zero, so shards serialized before the hot-field header
 	// decode to layout.EdgeFormatLegacy and keep parsing correctly.
 	EdgeFormat int
-	// Codec-layer fields. When NodeOffsetsEnc is non-nil it carries the
-	// codec-tagged node offset column and replaces NodeOffsets; when
-	// EdgeIdxOffsEnc is non-nil the three EdgeIdx* columns replace
-	// EdgeIndex. Pre-codec shards decode with these fields nil (gob
-	// default, like EdgeFormat) and load through the legacy fields; an
-	// all-legacy shard also marshals through the legacy fields, keeping
-	// its wire form identical to pre-codec builds.
-	NodeOffsetsEnc []byte
-	EdgeIdxSrcs    []int64
-	EdgeIdxTypes   []int64
-	EdgeIdxOffsEnc []byte
 }
 
 // MarshalBinary serializes the shard.
@@ -49,24 +37,14 @@ func (s *Shard) MarshalBinary() ([]byte, error) {
 		NodeStore:    s.nodeStore.MarshalBinary(),
 		EdgeStore:    s.edgeStore.MarshalBinary(),
 		NodeIDs:      s.nodes.IDs(),
+		NodeOffsets:  s.nodes.Offsets(),
 		EdgeSrcs:     s.edgeSrcs,
+		EdgeIndex:    s.edgeIndexSlice(),
 		NodeSchema:   s.nodes.Schema().Spec(),
 		EdgeSchema:   s.edges.Schema().Spec(),
 		RawNodeBytes: s.rawNodeBytes,
 		RawEdgeBytes: s.rawEdgeBytes,
 		EdgeFormat:   s.edgeFormat,
-	}
-	nodeOffs := s.nodes.OffsetsSeq()
-	_, nodeLegacy := nodeOffs.(*bitutil.MonotoneVector)
-	_, edgeLegacy := s.edgeIdxOffs.(*bitutil.MonotoneVector)
-	if nodeLegacy && edgeLegacy {
-		w.NodeOffsets = s.nodes.Offsets()
-		w.EdgeIndex = s.edgeIndexSlice()
-	} else {
-		w.NodeOffsetsEnc = bitutil.AppendSeq(nil, nodeOffs)
-		w.EdgeIdxSrcs = s.edgeIdxSrcs
-		w.EdgeIdxTypes = s.edgeIdxTypes
-		w.EdgeIdxOffsEnc = bitutil.AppendSeq(nil, s.edgeIdxOffs)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
@@ -76,7 +54,10 @@ func (s *Shard) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalShard reconstructs a shard serialized by MarshalBinary,
-// placing it on med (nil = unlimited).
+// placing it on med (nil = unlimited). The index columns are checked
+// against each other and against the decoded stores before any view is
+// built, so malformed wire data returns an error instead of panicking
+// at load or at the first query.
 func UnmarshalShard(data []byte, med *memsim.Medium) (*Shard, error) {
 	var w shardWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
@@ -97,24 +78,70 @@ func UnmarshalShard(data []byte, med *memsim.Medium) (*Shard, error) {
 	if s.edgeStore, err = succinct.UnmarshalStore(w.EdgeStore, med); err != nil {
 		return nil, fmt.Errorf("core: edge store: %w", err)
 	}
-	var nodeOffs bitutil.Seq
-	if w.NodeOffsetsEnc != nil {
-		if nodeOffs, _, err = bitutil.DecodeSeq(w.NodeOffsetsEnc); err != nil {
-			return nil, fmt.Errorf("core: node offsets: %w", err)
-		}
-	} else {
-		nodeOffs = layout.PackOffsets(w.NodeOffsets)
+	if err := checkNodeIndex(w.NodeIDs, w.NodeOffsets, s.nodeStore.InputLen()); err != nil {
+		return nil, err
 	}
-	if w.EdgeIdxOffsEnc != nil {
-		s.edgeIdxSrcs = w.EdgeIdxSrcs
-		s.edgeIdxTypes = w.EdgeIdxTypes
-		if s.edgeIdxOffs, _, err = bitutil.DecodeSeq(w.EdgeIdxOffsEnc); err != nil {
-			return nil, fmt.Errorf("core: edge index offsets: %w", err)
-		}
-	} else {
-		s.setEdgeIndex(w.EdgeIndex, bitutil.CodecForceLegacy)
+	if err := checkEdgeIndex(w.EdgeIndex, len(w.EdgeSrcs), s.edgeStore.InputLen()); err != nil {
+		return nil, err
 	}
-	s.nodes = layout.NewNodeFileViewSeq(s.nodeStore, nodeSchema, w.NodeIDs, nodeOffs, med)
+	s.setEdgeIndex(w.EdgeIndex)
+	s.nodes = layout.NewNodeFileView(s.nodeStore, nodeSchema, w.NodeIDs, w.NodeOffsets, med)
 	s.edges = layout.NewEdgeFileViewFormat(s.edgeStore, edgeSchema, s.edgeFormat)
 	return s, nil
+}
+
+// checkOffset validates record offset i of a column: in [0, limit) and
+// not below its predecessor prev.
+func checkOffset(column string, i int, off, prev int64, limit int) error {
+	if off < 0 || off >= int64(limit) {
+		return fmt.Errorf("core: %s offset %d = %d outside the %d-byte file", column, i, off, limit)
+	}
+	if i > 0 && off < prev {
+		return fmt.Errorf("core: %s offsets not monotone at %d (%d < %d)", column, i, off, prev)
+	}
+	return nil
+}
+
+// checkNodeIndex validates the NodeFile index: one offset per node, IDs
+// strictly ascending, offsets non-decreasing inside the node file.
+func checkNodeIndex(ids, offs []int64, fileLen int) error {
+	if len(offs) != len(ids) {
+		return fmt.Errorf("core: %d node offsets for %d node IDs", len(offs), len(ids))
+	}
+	for i, off := range offs {
+		if i > 0 && ids[i] <= ids[i-1] {
+			return fmt.Errorf("core: node IDs not ascending at %d", i)
+		}
+		var prev int64
+		if i > 0 {
+			prev = offs[i-1]
+		}
+		if err := checkOffset("node", i, off, prev, fileLen); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkEdgeIndex validates the EdgeFile record index: at least one
+// record per edge source, keys strictly ascending by (src, type), and
+// offsets non-decreasing inside the edge file.
+func checkEdgeIndex(index []layout.EdgeRecordIndex, numSrcs, fileLen int) error {
+	if len(index) < numSrcs {
+		return fmt.Errorf("core: %d edge records for %d edge sources", len(index), numSrcs)
+	}
+	for i, r := range index {
+		var prev int64
+		if i > 0 {
+			p := index[i-1]
+			if r.Src < p.Src || (r.Src == p.Src && r.Type <= p.Type) {
+				return fmt.Errorf("core: edge index keys not ascending at %d", i)
+			}
+			prev = p.Offset
+		}
+		if err := checkOffset("edge index", i, r.Offset, prev, fileLen); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -23,10 +23,6 @@ type Options struct {
 	// Medium is the simulated storage for this shard's structures
 	// (nil = unlimited).
 	Medium *memsim.Medium
-	// Codec selects how each region's integer codec is chosen (Ψ and
-	// sample arrays in the succinct stores, plus the NodeFile and
-	// EdgeFile offset columns). Zero value = bitutil.CodecAuto.
-	Codec bitutil.CodecPolicy
 }
 
 // Shard is one immutable graph partition in ZipG layout over compressed
@@ -48,18 +44,13 @@ type Shard struct {
 	// locate records by binary search here instead of compressed
 	// search). Stored as columns: the key columns stay raw for the
 	// binary search, while the offset column — strictly increasing — is
-	// a codec region like the NodeFile offsets.
+	// delta-packed like the NodeFile offsets.
 	edgeIdxSrcs  []layout.NodeID
 	edgeIdxTypes []layout.EdgeType
-	edgeIdxOffs  bitutil.Seq
+	edgeIdxOffs  *bitutil.MonotoneVector
 	// edgeFormat is the EdgeFile record format (layout.EdgeFormat*);
 	// shards deserialized from pre-hot-header builds carry Legacy.
 	edgeFormat int
-
-	// Trial measurements that chose the offset-column codecs (empty for
-	// forced policies and loaded shards).
-	nodeOffTrials []bitutil.TrialResult
-	edgeIdxTrials []bitutil.TrialResult
 
 	rawNodeBytes int
 	rawEdgeBytes int
@@ -78,7 +69,7 @@ func Build(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *lay
 	if err != nil {
 		return nil, fmt.Errorf("core: edge file: %w", err)
 	}
-	succOpts := succinct.Options{SamplingRate: opts.SamplingRate, Medium: opts.Medium, Codec: opts.Codec}
+	succOpts := succinct.Options{SamplingRate: opts.SamplingRate, Medium: opts.Medium}
 	// The NodeFile and EdgeFile suffix arrays are independent; build them
 	// concurrently on the shared pool (each Build stays sequential inside).
 	stores := parallel.Map("core.build_succinct", 2, func(i int) *succinct.Store {
@@ -95,28 +86,24 @@ func Build(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *lay
 		rawNodeBytes: len(nodeFlat),
 		rawEdgeBytes: len(edgeFlat),
 	}
-	s.setEdgeIndex(edgeIndex, opts.Codec)
-	succinct.CountCodecRegion(s.edgeIdxOffs)
-	var nodeOffs bitutil.Seq
-	nodeOffs, s.nodeOffTrials = bitutil.EncodeWithPolicy(layout.OffsetsToUint64(offs), true, 0, opts.Codec)
-	succinct.CountCodecRegion(nodeOffs)
-	s.nodes = layout.NewNodeFileViewSeq(s.nodeStore, nodeSchema, ids, nodeOffs, opts.Medium)
+	s.setEdgeIndex(edgeIndex)
+	s.nodes = layout.NewNodeFileView(s.nodeStore, nodeSchema, ids, offs, opts.Medium)
 	s.edges = layout.NewEdgeFileViewFormat(s.edgeStore, edgeSchema, s.edgeFormat)
 	return s, nil
 }
 
 // setEdgeIndex splits the build-time edge record index into its key
-// columns and the codec-encoded offset column.
-func (s *Shard) setEdgeIndex(index []layout.EdgeRecordIndex, policy bitutil.CodecPolicy) {
+// columns and the packed offset column.
+func (s *Shard) setEdgeIndex(index []layout.EdgeRecordIndex) {
 	s.edgeIdxSrcs = make([]layout.NodeID, len(index))
 	s.edgeIdxTypes = make([]layout.EdgeType, len(index))
-	offVals := make([]uint64, len(index))
+	offs := make([]int64, len(index))
 	for i, r := range index {
 		s.edgeIdxSrcs[i] = r.Src
 		s.edgeIdxTypes[i] = r.Type
-		offVals[i] = uint64(r.Offset)
+		offs[i] = r.Offset
 	}
-	s.edgeIdxOffs, s.edgeIdxTrials = bitutil.EncodeWithPolicy(offVals, true, 0, policy)
+	s.edgeIdxOffs = layout.PackOffsets(offs)
 }
 
 // edgeIndexSlice materializes the columnar edge record index back into
@@ -184,22 +171,23 @@ func (s *Shard) FindEdges(props map[string]string) []layout.EdgeMatch {
 	return s.edges.FindEdges(s.edgeIndexSlice(), props)
 }
 
-// CodecReport describes every codec-encoded region of the shard: the
-// two succinct stores' Ψ/SA/ISA regions plus the NodeFile and EdgeFile
-// offset columns, with per-region codec, size and measured decode speed.
-func (s *Shard) CodecReport() []succinct.RegionCodec {
-	var out []succinct.RegionCodec
-	for _, rc := range s.nodeStore.RegionCodecs() {
-		rc.Region = "node/" + rc.Region
-		out = append(out, rc)
+// Regions describes every packed region of the shard: the two succinct
+// stores' Ψ/SA/ISA regions plus the NodeFile and EdgeFile offset
+// columns, with per-region element count and size.
+func (s *Shard) Regions() []succinct.Region {
+	var out []succinct.Region
+	for _, r := range s.nodeStore.Regions() {
+		r.Name = "node/" + r.Name
+		out = append(out, r)
 	}
-	for _, rc := range s.edgeStore.RegionCodecs() {
-		rc.Region = "edge/" + rc.Region
-		out = append(out, rc)
+	for _, r := range s.edgeStore.Regions() {
+		r.Name = "edge/" + r.Name
+		out = append(out, r)
 	}
-	out = append(out, succinct.SeqRegionCodec("node/offsets", s.nodes.OffsetsSeq(), s.nodeOffTrials))
-	out = append(out, succinct.SeqRegionCodec("edge/index", s.edgeIdxOffs, s.edgeIdxTrials))
-	return out
+	nodeOffs := s.nodes.OffsetsVector()
+	return append(out,
+		succinct.Region{Name: "node/offsets", Elems: nodeOffs.Len(), Bytes: nodeOffs.SizeBytes()},
+		succinct.Region{Name: "edge/index", Elems: s.edgeIdxOffs.Len(), Bytes: s.edgeIdxOffs.SizeBytes()})
 }
 
 // distinctSources extracts the sorted distinct edge sources.

@@ -52,12 +52,10 @@ type NodeFileView struct {
 	src    ByteSource
 	schema *PropertySchema
 	ids    []NodeID
-	// offs holds the per-record start offsets codec-encoded: record
+	// offs holds the per-record start offsets delta-packed: record
 	// starts ascend monotonically, so the column compresses from 8
-	// bytes/node to roughly its delta entropy. Which codec is chosen at
-	// shard build time (core trial-encodes under the configured policy);
-	// views built from raw []int64 offsets use the legacy packing.
-	offs bitutil.Seq
+	// bytes/node to roughly its delta entropy.
+	offs *bitutil.MonotoneVector
 
 	med *memsim.Medium
 	reg uint32 // region for the (NodeID, offset) index
@@ -67,13 +65,6 @@ type NodeFileView struct {
 // parallel and sorted by ID (which makes offsets non-decreasing). The
 // index's footprint is charged to med (nil = unlimited).
 func NewNodeFileView(src ByteSource, schema *PropertySchema, ids []NodeID, offsets []int64, med *memsim.Medium) *NodeFileView {
-	return NewNodeFileViewSeq(src, schema, ids, PackOffsets(offsets), med)
-}
-
-// NewNodeFileViewSeq is NewNodeFileView over an already codec-encoded
-// offset column (the shard build and load paths, which choose the codec
-// by policy).
-func NewNodeFileViewSeq(src ByteSource, schema *PropertySchema, ids []NodeID, offs bitutil.Seq, med *memsim.Medium) *NodeFileView {
 	if med == nil {
 		med = memsim.Unlimited()
 	}
@@ -81,30 +72,22 @@ func NewNodeFileViewSeq(src ByteSource, schema *PropertySchema, ids []NodeID, of
 		src:    src,
 		schema: schema,
 		ids:    ids,
-		offs:   offs,
+		offs:   PackOffsets(offsets),
 		med:    med,
 		// The index charge stays at the historical 16 bytes/node so
-		// medium-pressure experiments remain comparable across codecs;
-		// the Go-heap saving from the encoded column is real either way.
+		// medium-pressure experiments remain comparable across builds;
+		// the Go-heap saving from the packed column is real either way.
 		reg: med.Register(int64(len(ids)) * 16),
 	}
 }
 
-// PackOffsets encodes a record-offset column (non-decreasing) with the
-// legacy codec — the deterministic default for views not built through
-// a codec policy.
-func PackOffsets(offsets []int64) bitutil.Seq {
-	legacy, _ := bitutil.CodecByID(bitutil.CodecLegacy)
-	return legacy.Encode(OffsetsToUint64(offsets), true, 0)
-}
-
-// OffsetsToUint64 converts an offset column for codec encoding.
-func OffsetsToUint64(offsets []int64) []uint64 {
+// PackOffsets delta-packs a non-decreasing record-offset column.
+func PackOffsets(offsets []int64) *bitutil.MonotoneVector {
 	vals := make([]uint64, len(offsets))
 	for i, o := range offsets {
 		vals[i] = uint64(o)
 	}
-	return vals
+	return bitutil.NewMonotoneVector(vals)
 }
 
 // NumNodes returns the number of nodes in the file.
@@ -125,9 +108,8 @@ func (v *NodeFileView) Offsets() []int64 {
 	return out
 }
 
-// OffsetsSeq returns the codec-encoded offset column (for serialization
-// and codec reports).
-func (v *NodeFileView) OffsetsSeq() bitutil.Seq { return v.offs }
+// OffsetsVector returns the packed offset column (for region reports).
+func (v *NodeFileView) OffsetsVector() *bitutil.MonotoneVector { return v.offs }
 
 // Contains reports whether the file holds a record for id.
 func (v *NodeFileView) Contains(id NodeID) bool { return v.indexOf(id) >= 0 }

@@ -181,8 +181,8 @@ func offsetToIndex(starts []int64, off int64) int {
 	return bitutil.SearchGT(starts, off) - 1
 }
 
-// seqOffsetToIndex is offsetToIndex over a codec-encoded offset column:
-// the greatest i with Get(i) <= off, via the Seq's anchor-aware SearchGE.
-func seqOffsetToIndex(offs bitutil.Seq, off int64) int {
+// seqOffsetToIndex is offsetToIndex over a packed offset column: the
+// greatest i with Get(i) <= off, via the vector's anchor-aware SearchGE.
+func seqOffsetToIndex(offs *bitutil.MonotoneVector, off int64) int {
 	return offs.SearchGE(0, offs.Len(), uint64(off)+1) - 1
 }

@@ -135,7 +135,7 @@ func (s *Store) compressOnePending() bool {
 	tm := telemetry.StartTimer()
 	nodes, edges := raw.Contents()
 	sh, err := core.Build(nodes, edges, s.nodeSchema, s.edgeSchema,
-		core.Options{SamplingRate: s.cfg.SamplingRate, Medium: s.cfg.Medium, Codec: s.cfg.Codec})
+		core.Options{SamplingRate: s.cfg.SamplingRate, Medium: s.cfg.Medium})
 	if err != nil {
 		return false
 	}

@@ -9,7 +9,6 @@ import (
 	"zipg/internal/layout"
 	"zipg/internal/logstore"
 	"zipg/internal/parallel"
-	"zipg/internal/succinct"
 	"zipg/internal/telemetry"
 )
 
@@ -94,7 +93,6 @@ type compactSnapshot struct {
 	primaries    []*core.Shard
 	frozen       []fragment
 	cut          int // == len(frozen): generations the rebuild consumes
-	alphas       []int
 	deletedNodes map[layout.NodeID]bool
 	deletedPhys  map[shardEdgeRef]map[int]bool
 	rawDels      map[*logstore.LogStore]map[edgeTriple]bool
@@ -119,7 +117,6 @@ func (s *Store) snapshotForCompactLocked() *compactSnapshot {
 		primaries:    s.primaries,
 		frozen:       s.frozen,
 		cut:          len(s.frozen),
-		alphas:       s.tuneAlphasLocked(),
 		deletedNodes: make(map[layout.NodeID]bool, len(s.deletedNodes)),
 		deletedPhys:  make(map[shardEdgeRef]map[int]bool, len(s.deletedPhys)),
 		rawDels:      make(map[*logstore.LogStore]map[edgeTriple]bool, len(s.rawDels)),
@@ -159,7 +156,7 @@ func (c *compactSnapshot) build(s *Store) ([]*core.Shard, error) {
 	}
 	fresh, err := parallel.MapErr("store.compact_shards", s.cfg.NumShards, func(p int) (*core.Shard, error) {
 		sh, err := core.Build(partNodes[p], partEdges[p], s.nodeSchema, s.edgeSchema,
-			core.Options{SamplingRate: c.alphas[p], Medium: s.cfg.Medium, Codec: s.cfg.Codec})
+			core.Options{SamplingRate: s.cfg.SamplingRate, Medium: s.cfg.Medium})
 		if err != nil {
 			return nil, fmt.Errorf("store: compact shard %d: %w", p, err)
 		}
@@ -178,10 +175,6 @@ func (c *compactSnapshot) build(s *Store) ([]*core.Shard, error) {
 func (s *Store) swapCompactedLocked(snap *compactSnapshot, fresh []*core.Shard) {
 	cut := snap.cut
 	s.primaries = fresh
-	s.tunedAlpha = snap.alphas
-	for p := range s.shardReads {
-		s.shardReads[p].Store(0)
-	}
 	// Generations sealed during the rebuild survive, renumbered down by
 	// cut; so does the live log (its generation is implicitly
 	// len(s.frozen) — see curGenLocked).
@@ -270,55 +263,6 @@ func (s *Store) markShardEdgesLocked(sh *core.Shard, t edgeTriple) int {
 		n++
 	}
 	return n
-}
-
-// tuneAlphasLocked picks each partition's sampling rate α for the next
-// shard generation. Without AutoTuneAlpha (or before any reads) every
-// partition keeps the configured base α. With it, partitions are graded
-// against their fair share of the reads accumulated since the last
-// compaction: a partition drawing ≥2× its fair share samples 4× denser
-// (α/4 — random access there is latency-critical), one merely above fair
-// samples 2× denser, and one below half its fair share compresses 2×
-// harder (2α) — trading cold-shard latency nobody observes for space,
-// the α knob of §3.2 turned per shard instead of globally. α is clamped
-// to [4, 128]. Callers hold s.mu.
-func (s *Store) tuneAlphasLocked() []int {
-	base := s.cfg.SamplingRate
-	if base <= 0 {
-		base = succinct.DefaultSamplingRate
-	}
-	alphas := make([]int, s.cfg.NumShards)
-	for p := range alphas {
-		alphas[p] = base
-	}
-	if !s.cfg.AutoTuneAlpha {
-		return alphas
-	}
-	var total int64
-	for p := range s.shardReads {
-		total += s.shardReads[p].Load()
-	}
-	if total == 0 {
-		return alphas
-	}
-	fair := float64(total) / float64(s.cfg.NumShards)
-	for p := range alphas {
-		reads := float64(s.shardReads[p].Load())
-		switch {
-		case reads >= 2*fair:
-			alphas[p] = max(4, base/4)
-			mAlphaDenser.Inc()
-		case reads > fair:
-			alphas[p] = max(4, base/2)
-			mAlphaDenser.Inc()
-		case reads < fair/2:
-			alphas[p] = min(128, base*2)
-			mAlphaSparser.Inc()
-		default:
-			mAlphaBase.Inc()
-		}
-	}
-	return alphas
 }
 
 // materialize reconstructs the snapshot's live logical graph: every

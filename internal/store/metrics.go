@@ -63,16 +63,4 @@ var (
 		"Full store compactions (garbage collections).")
 	mCompactionNs = telemetry.NewHistogram("zipg_store_compaction_ns",
 		"Full compaction duration in nanoseconds.")
-
-	// α auto-tuning decisions at compaction, by direction: denser
-	// (smaller α for hot partitions), sparser (larger α for cold ones)
-	// or base (kept the configured rate).
-	mAlphaDenser = telemetry.NewCounterL("zipg_alpha_tuned_total", `dir="denser"`,
-		helpAlphaTuned)
-	mAlphaSparser = telemetry.NewCounterL("zipg_alpha_tuned_total", `dir="sparser"`,
-		helpAlphaTuned)
-	mAlphaBase = telemetry.NewCounterL("zipg_alpha_tuned_total", `dir="base"`,
-		helpAlphaTuned)
 )
-
-const helpAlphaTuned = "Per-partition sampling-rate retunes at compaction, by direction."

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"zipg/internal/core"
 	"zipg/internal/layout"
@@ -170,7 +169,6 @@ func Load(r io.Reader, med *memsim.Medium) (*Store, error) {
 		deletedNodes: make(map[layout.NodeID]bool, len(wire.DeletedNodes)),
 		deletedPhys:  make(map[shardEdgeRef]map[int]bool),
 		rawDels:      make(map[*logstore.LogStore]map[edgeTriple]bool),
-		shardReads:   make([]atomic.Int64, wire.NumShards),
 		rollovers:    wire.Rollovers,
 	}
 	s.wc.init(wire.NumShards)

@@ -13,10 +13,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"zipg/internal/bitutil"
 	"zipg/internal/core"
 	"zipg/internal/layout"
 	"zipg/internal/logstore"
@@ -46,13 +44,6 @@ type Config struct {
 	// following update pointers — the strawman §3.5 argues against.
 	// Exists only for the ablation benchmark.
 	DisableFannedUpdates bool
-	// Codec selects how shard regions (Ψ, SA/ISA samples, offset
-	// columns) pick their integer codec. Zero value = bitutil.CodecAuto.
-	Codec bitutil.CodecPolicy
-	// AutoTuneAlpha lets Compact retune each partition's sampling rate α
-	// from its accumulated read counts: hot partitions get denser
-	// samples (faster random access), cold ones compress harder.
-	AutoTuneAlpha bool
 	// DisableGroupCommit makes every append take the store lock
 	// individually (the pre-group-commit write path). Exists for the
 	// ingest-bench ablation; leave false in production.
@@ -141,15 +132,6 @@ type Store struct {
 	replayEdgeDels []edgeTriple
 	replayNodeDels map[layout.NodeID]bool
 
-	// shardReads counts reads routed to each primary partition since
-	// the last compaction — the per-shard heat signal Compact's α
-	// auto-tuner consumes (and then resets). Atomic so the lock-free
-	// read paths can bump them.
-	shardReads []atomic.Int64
-	// tunedAlpha records the per-partition α the last compaction chose
-	// (nil until an auto-tuned compaction has run).
-	tunedAlpha []int
-
 	rollovers int
 	// rolloversSinceCompact drives the background compaction trigger.
 	rolloversSinceCompact int
@@ -183,7 +165,6 @@ func New(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *layou
 		deletedNodes: make(map[layout.NodeID]bool),
 		deletedPhys:  make(map[shardEdgeRef]map[int]bool),
 		rawDels:      make(map[*logstore.LogStore]map[edgeTriple]bool),
-		shardReads:   make([]atomic.Int64, cfg.NumShards),
 	}
 	s.wc.init(cfg.NumShards)
 	s.events.init(cfg.NumShards, cfg.EventTailLen)
@@ -199,7 +180,7 @@ func New(nodes []layout.Node, edges []layout.Edge, nodeSchema, edgeSchema *layou
 		p := s.partitionOf(e.Src)
 		partEdges[p] = append(partEdges[p], e)
 	}
-	opts := core.Options{SamplingRate: cfg.SamplingRate, Medium: cfg.Medium, Codec: cfg.Codec}
+	opts := core.Options{SamplingRate: cfg.SamplingRate, Medium: cfg.Medium}
 	// Independent shards compress concurrently (each suffix-array build
 	// stays sequential internally); the paper builds one shard per core.
 	shards, err := parallel.MapErr("store.build_shards", cfg.NumShards, func(p int) (*core.Shard, error) {
@@ -240,11 +221,6 @@ func (s *Store) Close() {
 func (s *Store) partitionOf(id layout.NodeID) int {
 	return int(layout.IDHash(id) % uint32(s.cfg.NumShards))
 }
-
-// noteRead attributes one read to a node's primary partition. The
-// counters feed Compact's α auto-tuner; one atomic add keeps the read
-// paths lock-free.
-func (s *Store) noteRead(p int) { s.shardReads[p].Add(1) }
 
 // NodeSchema returns the node property schema.
 func (s *Store) NodeSchema() *layout.PropertySchema { return s.nodeSchema }
@@ -423,9 +399,7 @@ func (s *Store) tombstoneRawLocked(raw *logstore.LogStore, src layout.NodeID, et
 // pointers name (or, with fanned updates disabled, every frozen
 // fragment). Callers hold s.mu.
 func (s *Store) fragmentsOfLocked(id layout.NodeID) []fragment {
-	p := s.partitionOf(id)
-	s.noteRead(p)
-	out := []fragment{{shard: s.primaries[p]}}
+	out := []fragment{{shard: s.primaries[s.partitionOf(id)]}}
 	if s.cfg.DisableFannedUpdates {
 		return append(out, s.frozen...)
 	}
@@ -455,7 +429,7 @@ func (s *Store) maybeRolloverLocked() error {
 	tm := telemetry.StartTimer()
 	nodes, edges := s.log.Contents()
 	sh, err := core.Build(nodes, edges, s.nodeSchema, s.edgeSchema,
-		core.Options{SamplingRate: s.cfg.SamplingRate, Medium: s.cfg.Medium, Codec: s.cfg.Codec})
+		core.Options{SamplingRate: s.cfg.SamplingRate, Medium: s.cfg.Medium})
 	if err != nil {
 		return fmt.Errorf("store: rollover: %w", err)
 	}
@@ -603,7 +577,6 @@ func (s *Store) GetNodePropsCtx(ctx context.Context, id layout.NodeID, propertyI
 }
 
 func (s *Store) getNodeProps(id layout.NodeID, propertyIDs []string, sp *telemetry.Span) ([]string, bool) {
-	s.noteRead(s.partitionOf(id))
 	s.mu.RLock()
 	if s.deletedNodes[id] {
 		s.mu.RUnlock()

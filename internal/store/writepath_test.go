@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"zipg/internal/bitutil"
 	"zipg/internal/layout"
 	"zipg/internal/telemetry"
 )
@@ -123,15 +122,13 @@ func mutateForCompact(t *testing.T, s *Store, edges []layout.Edge) {
 
 // TestCompactDeterminism locks the determinism of compaction's
 // materialize pass: two stores given identical histories must compact
-// to byte-identical primary shards. (The codec is pinned: auto-tuning
-// trial-times decode speed, which is inherently run-dependent.)
+// to byte-identical primary shards.
 func TestCompactDeterminism(t *testing.T) {
 	build := func() *Store {
 		ns, es := testSchemas(t)
 		nodes, edges := testGraph(25, 100, 4)
 		s, err := New(nodes, edges, ns, es, Config{
 			NumShards: 3, SamplingRate: 8, LogStoreThreshold: 2500,
-			Codec: bitutil.CodecForceLegacy,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -448,7 +445,7 @@ func TestBackgroundCompaction(t *testing.T) {
 
 // TestWritePathMetricNames locks the write-path and online-compaction
 // metric names into the default registry's exposition so renames fail
-// CI (same style as TestCodecMetricNames).
+// CI (same style as telemetry's TestTraceMetricNames).
 func TestWritePathMetricNames(t *testing.T) {
 	prev := telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(prev)

@@ -1,103 +1,27 @@
 package succinct
 
-import (
-	"zipg/internal/bitutil"
-	"zipg/internal/telemetry"
-)
-
-// RegionCodec describes how one region of a store is encoded, for the
-// codec report surfaced through Store.CodecReport / zipg-cli codecs.
-type RegionCodec struct {
-	// Region names the encoded region: "psi", "sa", "isa".
-	Region string
-	// Codec is the name of the codec every sequence in the region uses.
-	Codec string
-	// Elems is the total element count across the region's sequences.
+// Region describes one encoded region of a store for the per-fragment
+// region report (zipg-cli regions, /debug/regions).
+type Region struct {
+	// Name names the region: "psi", "sa", "isa".
+	Name string
+	// Elems is the total element count across the region's vectors.
 	Elems int
 	// Bytes is the region's encoded in-memory footprint.
 	Bytes int
-	// DecodeNs is the measured DecodeAll cost per element, sampled at
-	// report time on the region's largest sequence.
-	DecodeNs float64
-	// Trials holds the build-time trial measurements that chose the
-	// codec; empty for forced policies and loaded stores.
-	Trials []bitutil.TrialResult
 }
 
-// regionReport summarizes seqs (all encoded with one codec) under name.
-func regionReport(name string, meta *regionMeta, seqs ...bitutil.Seq) RegionCodec {
-	rc := RegionCodec{Region: name, Trials: meta.trials}
-	var largest bitutil.Seq
-	for _, q := range seqs {
-		rc.Elems += q.Len()
-		rc.Bytes += q.SizeBytes()
-		if largest == nil || q.Len() > largest.Len() {
-			largest = q
-		}
+// Regions reports the element count and encoded size of each region
+// (Ψ, SA samples, ISA samples).
+func (s *Store) Regions() []Region {
+	psi := Region{Name: "psi"}
+	for _, p := range s.psi {
+		psi.Elems += p.Len()
+		psi.Bytes += p.SizeBytes()
 	}
-	if largest != nil {
-		rc.Codec = bitutil.CodecName(largest.CodecID())
-		rc.DecodeNs = bitutil.MeasureDecodeNs(largest)
+	return []Region{
+		psi,
+		{Name: "sa", Elems: s.saSamples.Len(), Bytes: s.saSamples.SizeBytes()},
+		{Name: "isa", Elems: s.isaSamples.Len(), Bytes: s.isaSamples.SizeBytes()},
 	}
-	return rc
-}
-
-// RegionCodecs reports the codec, size and measured decode speed of each
-// encoded region (Ψ, SA samples, ISA samples).
-func (s *Store) RegionCodecs() []RegionCodec {
-	return []RegionCodec{
-		regionReport("psi", &s.psiMeta, s.psi...),
-		regionReport("sa", &s.saMeta, s.saSamples),
-		regionReport("isa", &s.isaMeta, s.isaSamples),
-	}
-}
-
-// SeqRegionCodec builds the report entry for one externally held region
-// (the layout offset columns, encoded by core under the same policy).
-func SeqRegionCodec(name string, q bitutil.Seq, trials []bitutil.TrialResult) RegionCodec {
-	return RegionCodec{
-		Region:   name,
-		Codec:    bitutil.CodecName(q.CodecID()),
-		Elems:    q.Len(),
-		Bytes:    q.SizeBytes(),
-		DecodeNs: bitutil.MeasureDecodeNs(q),
-		Trials:   trials,
-	}
-}
-
-// CountCodecRegion bumps the codec build metrics for one externally
-// encoded region.
-func CountCodecRegion(q bitutil.Seq) {
-	if !telemetry.Enabled() {
-		return
-	}
-	if regions, sz := codecCounters(q.CodecID()); regions != nil {
-		regions.Inc()
-		sz.Add(int64(q.SizeBytes()))
-	}
-}
-
-// countCodecMetrics bumps the per-codec region counters for a freshly
-// built store (one increment per region, bytes summed across the
-// region's sequences).
-func (s *Store) countCodecMetrics() {
-	if !telemetry.Enabled() {
-		return
-	}
-	count := func(seqs ...bitutil.Seq) {
-		if len(seqs) == 0 {
-			return
-		}
-		bytes := 0
-		for _, q := range seqs {
-			bytes += q.SizeBytes()
-		}
-		if regions, sz := codecCounters(seqs[0].CodecID()); regions != nil {
-			regions.Inc()
-			sz.Add(int64(bytes))
-		}
-	}
-	count(s.psi...)
-	count(s.saSamples)
-	count(s.isaSamples)
 }

@@ -9,43 +9,13 @@ import (
 )
 
 // serialMagic identifies a serialized Store and its format version.
-// ZSUC1 is the pre-codec format: every region in the legacy packing,
-// with no codec tags. ZSUC2 carries self-describing codec-tagged
-// sequences. An all-legacy store still marshals as ZSUC1 — byte for
-// byte the historical output — so archives round-trip unchanged and
-// older readers keep working on legacy-policy builds.
-var (
-	serialMagic   = []byte("ZSUC1\x00")
-	serialMagicV2 = []byte("ZSUC2\x00")
-)
-
-// legacyEncoded reports whether every region uses the legacy packing in
-// its historical concrete layout (monotone Ψ, fixed-width samples), i.e.
-// whether the store can be serialized as ZSUC1.
-func (s *Store) legacyEncoded() bool {
-	for _, p := range s.psi {
-		if _, ok := p.(*bitutil.MonotoneVector); !ok {
-			return false
-		}
-	}
-	if _, ok := s.saSamples.(*bitutil.PackedVector); !ok {
-		return false
-	}
-	_, ok := s.isaSamples.(*bitutil.PackedVector)
-	return ok
-}
+var serialMagic = []byte("ZSUC1\x00")
 
 // MarshalBinary serializes the store into a flat byte slice. The format
 // is what cmd/zipg-load writes and what servers load at startup; it
 // mirrors the paper's "serialized flat files" persistence (§4.1).
 func (s *Store) MarshalBinary() []byte {
-	legacy := s.legacyEncoded()
-	var buf []byte
-	if legacy {
-		buf = append(buf, serialMagic...)
-	} else {
-		buf = append(buf, serialMagicV2...)
-	}
+	buf := append([]byte(nil), serialMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.n))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.alpha))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.bucketChar)))
@@ -56,36 +26,20 @@ func (s *Store) MarshalBinary() []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(st))
 	}
 	for _, p := range s.psi {
-		if legacy {
-			buf = p.AppendBinary(buf)
-		} else {
-			buf = bitutil.AppendSeq(buf, p)
-		}
+		buf = p.AppendBinary(buf)
 	}
 	buf = s.saSampleBits.AppendBinary(buf)
-	if legacy {
-		buf = s.saSamples.AppendBinary(buf)
-		buf = s.isaSamples.AppendBinary(buf)
-	} else {
-		buf = bitutil.AppendSeq(buf, s.saSamples)
-		buf = bitutil.AppendSeq(buf, s.isaSamples)
-	}
-	return buf
+	buf = s.saSamples.AppendBinary(buf)
+	return s.isaSamples.AppendBinary(buf)
 }
 
 // UnmarshalStore reconstructs a Store serialized by MarshalBinary,
-// placing it on med (nil for unlimited). Both the pre-codec ZSUC1
-// format and the codec-tagged ZSUC2 format load.
+// placing it on med (nil for unlimited).
 func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 	if med == nil {
 		med = memsim.Unlimited()
 	}
-	v2 := false
-	switch {
-	case len(buf) >= len(serialMagic) && string(buf[:len(serialMagic)]) == string(serialMagic):
-	case len(buf) >= len(serialMagicV2) && string(buf[:len(serialMagicV2)]) == string(serialMagicV2):
-		v2 = true
-	default:
+	if len(buf) < len(serialMagic) || string(buf[:len(serialMagic)]) != string(serialMagic) {
 		return nil, fmt.Errorf("succinct: bad magic")
 	}
 	pos := len(serialMagic)
@@ -115,42 +69,16 @@ func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 	}
 	pos += (nb + 1) * 4
 
-	decodeSeq := func(region string) (bitutil.Seq, error) {
-		if v2 {
-			q, k, err := bitutil.DecodeSeq(buf[pos:])
-			if err != nil {
-				return nil, fmt.Errorf("succinct: %s: %w", region, err)
-			}
-			pos += k
-			return q, nil
-		}
-		// ZSUC1 carries untagged legacy structures; Ψ buckets are
-		// monotone vectors, sample arrays fixed-width packed vectors.
-		if region[:3] == "psi" {
-			mv, k, err := bitutil.DecodeMonotoneVector(buf[pos:])
-			if err != nil {
-				return nil, fmt.Errorf("succinct: %s: %w", region, err)
-			}
-			pos += k
-			return mv, nil
-		}
-		pv, k, err := bitutil.DecodePackedVector(buf[pos:])
-		if err != nil {
-			return nil, fmt.Errorf("succinct: %s: %w", region, err)
-		}
-		pos += k
-		return pv, nil
-	}
-
-	s.psi = make([]bitutil.Seq, nb)
+	s.psi = make([]*bitutil.MonotoneVector, nb)
 	var psiBytes int
 	for i := range s.psi {
-		q, err := decodeSeq(fmt.Sprintf("psi bucket %d", i))
+		mv, k, err := bitutil.DecodeMonotoneVector(buf[pos:])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("succinct: psi bucket %d: %w", i, err)
 		}
-		s.psi[i] = q
-		psiBytes += q.SizeBytes()
+		pos += k
+		s.psi[i] = mv
+		psiBytes += mv.SizeBytes()
 	}
 	s.psiBytesPerRow = float64(psiBytes) / float64(s.n)
 
@@ -160,11 +88,12 @@ func UnmarshalStore(buf []byte, med *memsim.Medium) (*Store, error) {
 		return nil, fmt.Errorf("succinct: sa sample bitmap: %w", err)
 	}
 	pos += k
-	if s.saSamples, err = decodeSeq("sa samples"); err != nil {
-		return nil, err
+	if s.saSamples, k, err = bitutil.DecodePackedVector(buf[pos:]); err != nil {
+		return nil, fmt.Errorf("succinct: sa samples: %w", err)
 	}
-	if s.isaSamples, err = decodeSeq("isa samples"); err != nil {
-		return nil, err
+	pos += k
+	if s.isaSamples, _, err = bitutil.DecodePackedVector(buf[pos:]); err != nil {
+		return nil, fmt.Errorf("succinct: isa samples: %w", err)
 	}
 
 	s.registerRegions()

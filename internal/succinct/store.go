@@ -25,7 +25,6 @@ package succinct
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"zipg/internal/bitutil"
 	"zipg/internal/memsim"
@@ -63,22 +62,16 @@ type Store struct {
 	psiBlockBase []int32
 	psiBlocks    int
 
-	// Ψ, stored per bucket. One codec per region: every bucket uses the
-	// codec recorded in psiMeta, chosen at build time.
-	psi []bitutil.Seq
+	// Ψ, stored per bucket.
+	psi []*bitutil.MonotoneVector
 
 	// Value-sampled SA: saSampleBits marks rows whose SA value is a
 	// multiple of α; saSamples holds those values in row order.
 	saSampleBits *bitutil.Bitmap
-	saSamples    bitutil.Seq
+	saSamples    *bitutil.PackedVector
 
 	// Position-sampled ISA: isaSamples[j] = ISA[j*α].
-	isaSamples bitutil.Seq
-
-	// Per-region codec bookkeeping (see RegionCodecs).
-	psiMeta regionMeta
-	saMeta  regionMeta
-	isaMeta regionMeta
+	isaSamples *bitutil.PackedVector
 
 	// Simulated storage placement.
 	med            *memsim.Medium
@@ -95,19 +88,6 @@ type Options struct {
 	// Medium is the simulated storage the structure lives on; nil means
 	// an unlimited (never-missing) medium.
 	Medium *memsim.Medium
-	// Codec selects how each region's integer codec is chosen. The zero
-	// value (bitutil.CodecAuto) trial-encodes a sample of each region
-	// with every registered codec and picks per region by measured
-	// decode-speed × size score.
-	Codec bitutil.CodecPolicy
-}
-
-// regionMeta holds the trial measurements that chose a region's codec
-// (empty for forced policies and loaded stores). The chosen codec itself
-// is not recorded here — the encoded sequences carry their own CodecID,
-// which cannot diverge from reality.
-type regionMeta struct {
-	trials []bitutil.TrialResult
 }
 
 // Build compresses text. The text may contain any byte values.
@@ -165,37 +145,20 @@ func Build(text []byte, opts Options) *Store {
 		}
 	}
 
-	// Ψ per bucket. One codec serves the whole region: the choice is
-	// trialed once — on the largest bucket, whose delta distribution
-	// dominates the region's bytes (buckets cannot be concatenated for
-	// sampling without breaking monotonicity) — then applied to every
-	// bucket.
+	// Ψ per bucket.
 	psiVals := make([]uint64, 0, n)
-	bucketVals := func(b int) []uint64 {
-		lo, hi := int(s.bucketStart[b]), int(s.bucketStart[b+1])
+	s.psi = make([]*bitutil.MonotoneVector, len(s.bucketChar))
+	var psiBytes int
+	for b := range s.bucketChar {
 		psiVals = psiVals[:0]
-		for row := lo; row < hi; row++ {
+		for row := s.bucketStart[b]; row < s.bucketStart[b+1]; row++ {
 			next := int(sa[row]) + 1
 			if next == n {
 				next = 0
 			}
 			psiVals = append(psiVals, uint64(isa[next]))
 		}
-		return psiVals
-	}
-	psiCodec := resolveCodec(opts.Codec, &s.psiMeta, func() []uint64 {
-		big := 0
-		for b := range s.bucketChar {
-			if s.bucketStart[b+1]-s.bucketStart[b] > s.bucketStart[big+1]-s.bucketStart[big] {
-				big = b
-			}
-		}
-		return bucketVals(big)
-	}, true, 0)
-	s.psi = make([]bitutil.Seq, len(s.bucketChar))
-	var psiBytes int
-	for b := range s.bucketChar {
-		s.psi[b] = encodeRegion(psiCodec, bucketVals(b), true, 0)
+		s.psi[b] = bitutil.NewMonotoneVector(psiVals)
 		psiBytes += s.psi[b].SizeBytes()
 		// Builds run as background work (rollover compression, online
 		// compaction) racing foreground queries; yield between buckets so
@@ -205,65 +168,31 @@ func Build(text []byte, opts Options) *Store {
 	}
 	s.psiBytesPerRow = float64(psiBytes) / float64(n)
 
-	// SA samples (by value). Sample values in row order are not monotone,
-	// so the region uses the raw layout; the width hint reproduces the
-	// historical fixed-width packing under the legacy codec.
+	// SA samples (by value), fixed-width at the width of a text offset.
 	s.saSampleBits = bitutil.NewBitmap(n)
-	var sampleVals []uint64
 	for row := 0; row < n; row++ {
 		if int(sa[row])%alpha == 0 {
 			s.saSampleBits.Set(row)
 		}
 	}
 	s.saSampleBits.FinishRank()
-	for row := 0; row < n; row++ {
+	width := bitutil.WidthFor(uint64(n - 1))
+	s.saSamples = bitutil.NewPackedVector(s.saSampleBits.Ones(), width)
+	for row, k := 0, 0; row < n; row++ {
 		if s.saSampleBits.Get(row) {
-			sampleVals = append(sampleVals, uint64(sa[row]))
+			s.saSamples.Set(k, uint64(sa[row]))
+			k++
 		}
 	}
-	widthHint := bitutil.WidthFor(uint64(n - 1))
-	saCodec := resolveCodec(opts.Codec, &s.saMeta, func() []uint64 { return sampleVals }, false, widthHint)
-	s.saSamples = encodeRegion(saCodec, sampleVals, false, widthHint)
 
 	// ISA samples (by position).
-	isaVals := make([]uint64, 0, (n+alpha-1)/alpha)
+	s.isaSamples = bitutil.NewPackedVector((n+alpha-1)/alpha, width)
 	for p := 0; p < n; p += alpha {
-		isaVals = append(isaVals, uint64(isa[p]))
+		s.isaSamples.Set(p/alpha, uint64(isa[p]))
 	}
-	isaCodec := resolveCodec(opts.Codec, &s.isaMeta, func() []uint64 { return isaVals }, false, widthHint)
-	s.isaSamples = encodeRegion(isaCodec, isaVals, false, widthHint)
 
-	s.countCodecMetrics()
 	s.registerRegions()
 	return s
-}
-
-// resolveCodec picks a region's codec: a forced policy pins it; auto
-// trial-encodes the sample (fetched lazily — forced builds never
-// materialize it) and records the trials in meta for reports.
-func resolveCodec(policy bitutil.CodecPolicy, meta *regionMeta, sample func() []uint64, monotone bool, width uint) bitutil.Codec {
-	if id, ok := policy.Forced(); ok {
-		c, _ := bitutil.CodecByID(id)
-		return c
-	}
-	start := time.Now()
-	c, trials := bitutil.ChooseCodec(sample(), monotone, width)
-	if telemetry.Enabled() {
-		mCodecTrialNs.Add(time.Since(start).Nanoseconds())
-	}
-	meta.trials = trials
-	return c
-}
-
-// encodeRegion encodes vals with the region's codec, falling back to
-// legacy (which encodes anything) if the codec cannot represent them —
-// e.g. a forced simple8b policy over values >= 2^60.
-func encodeRegion(c bitutil.Codec, vals []uint64, monotone bool, width uint) bitutil.Seq {
-	if seq := c.Encode(vals, monotone, width); seq != nil {
-		return seq
-	}
-	legacy, _ := bitutil.CodecByID(bitutil.CodecLegacy)
-	return legacy.Encode(vals, monotone, width)
 }
 
 // rowDirShift fixes the row→bucket directory's sampling stride at

@@ -358,15 +358,17 @@ func NewCounterVec(family, labelKey, help string) *CounterVec {
 }
 
 // With returns the counter for one label value, creating and
-// registering it on first use.
+// registering it on first use. Only the goroutine whose counter wins
+// the map registers it, so racing first uses leave one series.
 func (v *CounterVec) With(value string) *Counter {
 	if c, ok := v.m.Load(value); ok {
 		return c.(*Counter)
 	}
-	c := NewCounterL(v.family, fmt.Sprintf("%s=%q", v.labelKey, value), v.help)
+	c := &Counter{meta: meta{family: v.family, labels: fmt.Sprintf("%s=%q", v.labelKey, value), help: v.help}}
 	if prev, loaded := v.m.LoadOrStore(value, c); loaded {
-		return prev.(*Counter) // lost the race; the duplicate emits 0s
+		return prev.(*Counter)
 	}
+	Default.register(c)
 	return c
 }
 
@@ -381,15 +383,17 @@ func NewHistogramVec(family, labelKey, help string) *HistogramVec {
 	return &HistogramVec{family: family, labelKey: labelKey, help: help}
 }
 
-// With returns the histogram for one label value.
+// With returns the histogram for one label value, registering it on
+// first use exactly as CounterVec.With does.
 func (v *HistogramVec) With(value string) *Histogram {
 	if h, ok := v.m.Load(value); ok {
 		return h.(*Histogram)
 	}
-	h := NewHistogramL(v.family, fmt.Sprintf("%s=%q", v.labelKey, value), v.help)
+	h := &Histogram{meta: meta{family: v.family, labels: fmt.Sprintf("%s=%q", v.labelKey, value), help: v.help}}
 	if prev, loaded := v.m.LoadOrStore(value, h); loaded {
 		return prev.(*Histogram)
 	}
+	Default.register(h)
 	return h
 }
 

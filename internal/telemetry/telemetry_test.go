@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -425,5 +426,56 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))
+	}
+}
+
+// TestVecFirstUseRace: 32 goroutines make the first With("x") on a
+// CounterVec and a HistogramVec at once. Exactly one series per family
+// may be registered, and both Snapshot and Expose must show it with
+// the exact total — a losing duplicate stuck at 0 would shadow it.
+func TestVecFirstUseRace(t *testing.T) {
+	prev := SetEnabled(true)
+	defer SetEnabled(prev)
+	// Fresh family names: the vecs register in the process-wide default
+	// registry, which outlives one run under -count.
+	suffix := fmt.Sprint(time.Now().UnixNano())
+	cv := NewCounterVec("zipg_test_vec_race_"+suffix+"_total", "k", "test")
+	hv := NewHistogramVec("zipg_test_vec_race_"+suffix+"_ns", "k", "test")
+	const goroutines = 32
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			cv.With("x").Inc()
+			hv.With("x").Observe(1)
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	counter := "zipg_test_vec_race_" + suffix + `_total{k="x"}`
+	hist := "zipg_test_vec_race_" + suffix + `_ns{k="x"}`
+	snap := Default.Snapshot()
+	if snap[counter] != goroutines || snap[hist+".count"] != goroutines {
+		t.Fatalf("snapshot: counter %v, histogram count %v, want %d", snap[counter], snap[hist+".count"], goroutines)
+	}
+	var counterLines, countLines []string
+	for _, line := range strings.Split(Default.Expose(), "\n") {
+		switch {
+		case strings.HasPrefix(line, counter+" "):
+			counterLines = append(counterLines, line)
+		case strings.HasPrefix(line, "zipg_test_vec_race_"+suffix+`_ns_count{k="x"} `):
+			countLines = append(countLines, line)
+		}
+	}
+	want := fmt.Sprint(goroutines)
+	if len(counterLines) != 1 || !strings.HasSuffix(counterLines[0], " "+want) {
+		t.Fatalf("exposition counter series: %q, want one line ending %s", counterLines, want)
+	}
+	if len(countLines) != 1 || !strings.HasSuffix(countLines[0], " "+want) {
+		t.Fatalf("exposition histogram count series: %q, want one line ending %s", countLines, want)
 	}
 }

@@ -65,16 +65,41 @@ func TestSubscriptionGapFree(t *testing.T) {
 		}(w)
 	}
 
+	// AppendEdge may auto-create endpoint nodes (extra EvNodePut
+	// events), so the op count only bounds the event count from below.
+	// The consumer drains until the writers are done and every
+	// partition's last delivered seq has caught up with the store's own
+	// counter, polling with a short per-Next timeout so it notices both.
+	st := g.Store()
+	writersDone := make(chan struct{})
 	delivered := 0
 	lastSeq := map[int]uint64{}
+	caughtUp := func() bool {
+		select {
+		case <-writersDone:
+		default:
+			return false
+		}
+		for part := 0; part < st.NumPartitions(); part++ {
+			if lastSeq[part] != st.LastSeq(part) {
+				return false
+			}
+		}
+		return true
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		for delivered < writers*perWriter {
+		deadline := time.Now().Add(30 * time.Second)
+		for !caughtUp() && time.Now().Before(deadline) {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			evs, err := sub.Next(ctx, 256)
-			if err != nil || evs == nil {
+			cancel()
+			if err == nil && evs == nil {
+				return // subscription closed
+			}
+			if err != nil && ctx.Err() == nil {
+				t.Errorf("Next: %v", err)
 				return
 			}
 			for _, ev := range evs {
@@ -88,15 +113,15 @@ func TestSubscriptionGapFree(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	close(writersDone)
+	<-done
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	<-done
-	// AppendEdge may auto-create endpoint nodes (extra EvNodePut events),
-	// so delivered is AT LEAST one event per op; with a big ring nothing
-	// may be dropped, and every partition's tail must line up with the
+	// With a big ring nothing may be dropped, every op yields at least
+	// one event, and every partition's tail must line up with the
 	// store's own sequence counter.
 	if delivered < writers*perWriter {
 		t.Fatalf("delivered %d events, want >= %d", delivered, writers*perWriter)
@@ -104,7 +129,6 @@ func TestSubscriptionGapFree(t *testing.T) {
 	if d := sub.Dropped(); d != 0 {
 		t.Fatalf("dropped %d events with an oversized ring", d)
 	}
-	st := g.Store()
 	for part, last := range lastSeq {
 		if want := st.LastSeq(part); last != want {
 			t.Fatalf("partition %d: consumer saw last seq %d, store at %d", part, last, want)
